@@ -21,13 +21,10 @@ import numpy as np
 from scipy import stats
 from scipy.spatial.distance import cdist
 
-from . import matcher
 from .orchestrator import RunConfig, RunReport, run
 from .pruner import AUTO, PruneConfig
 from .space import ExperimentRecord, Job, ParamDomain, SearchSpace, space_size
-from .surrogate import DEFAULT_K, SpaceEncoding, fit, knn_indices
-from .variogram import (FALLBACK_AGGRESSIVENESS, VariogramError,
-                        suggest_aggressiveness)
+from .surrogate import DEFAULT_K, SpaceEncoding, knn_indices
 
 CALIBRATION_TOLERANCE = 0.03  # inner loop; the contract allows +/- 0.05
 MAX_CALIBRATION_STEPS = 40
@@ -83,17 +80,6 @@ def _bump_field(rng: np.random.Generator, coords: np.ndarray, n_bumps: int,
     return (amps * np.exp(-sq / (2.0 * widths ** 2))).sum(axis=1)
 
 
-def _neighbor_matrix(space: SearchSpace, points: np.ndarray, k: int = DEFAULT_K,
-                     chunk: int = 1024) -> np.ndarray:
-    """k nearest grid points of every grid point (training = full grid),
-    matching the surrogate's neighbor selection exactly."""
-    enc = SpaceEncoding.for_space(space)
-    rows = []
-    for start in range(0, len(points), chunk):
-        rows.append(knn_indices(enc, points, points[start:start + chunk], k))
-    return np.concatenate(rows, axis=0)
-
-
 @dataclass(frozen=True, eq=False)
 class LandscapeFamily:
     name: str
@@ -107,8 +93,6 @@ class LandscapeFamily:
     subset_indices: np.ndarray = None  # (m,) prior-job grid indices (shared sweep)
     knn_k: int = DEFAULT_K
     _records: dict = field(default_factory=dict, repr=False)
-    _samples: dict = field(default_factory=dict, repr=False)
-    _suggestions: dict = field(default_factory=dict, repr=False)
 
     @property
     def subjects(self) -> int:
@@ -137,34 +121,6 @@ class LandscapeFamily:
             self._records[index] = ExperimentRecord(
                 id=self.subject_id(index), space=self.space, jobs=jobs)
         return self._records[index]
-
-    def prior_samples(self) -> dict:
-        """Surrogate sample vectors over the full grid for every subject,
-        equal to fit(record.jobs, k).sample_on(full enumeration)."""
-        if not self._samples:
-            for i in range(self.subjects):
-                surrogate = fit(self.subject_record(i).jobs, self.space, self.knn_k)
-                vec = np.concatenate([
-                    surrogate.sample_on(self.points[start:start + 1024])
-                    for start in range(0, len(self.points), 1024)])
-                self._samples[self.subject_id(i)] = vec
-        return dict(self._samples)
-
-    def prior_suggestions(self, prune_cfg=None) -> dict:
-        """Automatic-aggressiveness values per subject, with the same
-        fallback the orchestrator applies when the variogram is unusable."""
-        cfg = prune_cfg if prune_cfg is not None else PruneConfig()
-        key = float(cfg.cap)
-        if key not in self._suggestions:
-            out = {}
-            for i in range(self.subjects):
-                try:
-                    value = suggest_aggressiveness(self.subject_record(i), cfg).value
-                except VariogramError:
-                    value = min(FALLBACK_AGGRESSIVENESS, cfg.cap)
-                out[self.subject_id(i)] = value
-            self._suggestions[key] = out
-        return dict(self._suggestions[key])
 
 
 def _mean_best_correlation(smoothed: np.ndarray) -> float:
@@ -266,13 +222,10 @@ def generate_family(seed: int, subjects: int, shape: Sequence[int], rho_target: 
             raise BenchError(
                 f"calibration failed: target {rho_target}, achieved {achieved:.4f}")
     values = build(weight)
-    family = LandscapeFamily(name=name, seed=seed, space=space, points=points,
-                             values=values, rho_target=rho_target,
-                             achieved_rho=achieved, mixing_weight=weight,
-                             subset_indices=subset_indices, knn_k=knn_k)
-    for i, vec in enumerate(sample_vectors(values)):
-        family._samples[family.subject_id(i)] = vec
-    return family
+    return LandscapeFamily(name=name, seed=seed, space=space, points=points,
+                           values=values, rho_target=rho_target,
+                           achieved_rho=achieved, mixing_weight=weight,
+                           subset_indices=subset_indices, knn_k=knn_k)
 
 
 FAMILY_PRESETS = {
@@ -374,8 +327,7 @@ def _run_seed(family_seed: int, subject: int, rep: int) -> int:
 
 def _single_run(family: LandscapeFamily, subject: int, rep: int, optimizer: str,
                 p_aggr, kb_size: int, budget: float, batch_size: int,
-                corr_threshold: float, cap: float,
-                prior_samples: dict, prior_suggestions: dict) -> tuple[float, float]:
+                corr_threshold: float, cap: float) -> tuple[float, float]:
     others = [i for i in range(family.subjects) if i != subject][:kb_size]
     kb = [family.subject_record(i) for i in others]
     cfg = RunConfig(
@@ -388,8 +340,6 @@ def _single_run(family: LandscapeFamily, subject: int, rep: int, optimizer: str,
         prune_cfg=PruneConfig(aggressiveness=p_aggr, cap=cap, corr_threshold=corr_threshold),
         kb=kb,
         knn_k=family.knn_k,
-        prior_samples=prior_samples,
-        prior_suggestions=prior_suggestions,
     )
     report = run(cfg)
     pct = percent_diff(report.best_value, family.global_optimum(subject))
@@ -399,16 +349,12 @@ def _single_run(family: LandscapeFamily, subject: int, rep: int, optimizer: str,
 def _study_chunk(args) -> list:
     (family, study, optimizer, p_aggr, kb_size, subjects, reps,
      budget, batch_size, corr_threshold, cap) = args
-    prior_samples = family.prior_samples()
-    prior_suggestions = family.prior_suggestions(
-        PruneConfig(aggressiveness=AUTO, cap=cap, corr_threshold=corr_threshold))
     out = []
     for subject in subjects:
         for rep in range(reps):
             pct, reduction = _single_run(family, subject, rep, optimizer, p_aggr,
                                          kb_size, budget, batch_size,
-                                         corr_threshold, cap, prior_samples,
-                                         prior_suggestions)
+                                         corr_threshold, cap)
             out.append((study, optimizer, p_aggr, kb_size, subject, rep, pct, reduction))
     return out
 

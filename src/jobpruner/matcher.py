@@ -9,7 +9,7 @@ uniform draw of that many points shared by every comparison in a run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,13 +45,19 @@ def n_corr(f_samples: Sequence[float], p_samples: Sequence[float]) -> float:
     p = np.asarray(p_samples, dtype=np.float64)
     if f.shape != p.shape or f.ndim != 1:
         raise MatchError(f"sample length mismatch: {f.shape} vs {p.shape}")
-    s = len(f)
-    if s < 2:
+    if len(f) < 2:
         raise MatchError("need at least 2 samples")
-    fc = f - f.mean()
-    pc = p - p.mean()
-    sigma_f = np.sqrt((fc ** 2).mean())
-    sigma_p = np.sqrt((pc ** 2).mean())
+    return _correlate(*_centred(f), *_centred(p))
+
+
+def _centred(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean-centred vector and its population standard deviation."""
+    centred = values - values.mean()
+    return centred, np.sqrt((centred ** 2).mean())
+
+
+def _correlate(fc: np.ndarray, sigma_f: float, pc: np.ndarray, sigma_p: float) -> float:
+    """`n_corr` of two vectors given as `_centred` pairs."""
     if sigma_f == 0 or sigma_p == 0:
         raise DegenerateSurrogateError("degenerate surrogate")
     value = float((fc * pc).mean() / (sigma_f * sigma_p))
@@ -76,59 +82,60 @@ def comparison_sample(space: SearchSpace, limit: int = FULL_SAMPLE_LIMIT,
     return np.stack([rng.integers(0, c, size=limit) for c in cards], axis=1).astype(np.int64)
 
 
+@dataclass(frozen=True, eq=False)
+class Sampled:
+    """A surrogate's predictions over ``comparison_sample(space)``, for a
+    caller that keeps the sample across several matches."""
+
+    space: SearchSpace
+    sample: np.ndarray
+    values: np.ndarray
+
+
 def ensure_surrogate(record: ExperimentRecord, k: int = sg.DEFAULT_K) -> sg.Surrogate:
     if record.surrogate is not None:
         return record.surrogate
-    return sg.fit(record.jobs, record.space, k=k)
+    return record.derived(("surrogate", k), lambda: sg.fit(record.jobs, record.space, k=k))
 
 
-def select_previous(kb: Sequence[ExperimentRecord], current: Optional[sg.Surrogate],
-                    threshold: float = 0.5,
-                    prior_samples: Optional[dict] = None,
-                    current_sample: Optional[np.ndarray] = None,
-                    space: Optional[SearchSpace] = None) -> Optional[MatchResult]:
+def _prior_vector(record: ExperimentRecord, space: SearchSpace,
+                  sample: np.ndarray) -> tuple[np.ndarray, float]:
+    """The record's centred vector and σ over `sample`, which must be
+    ``comparison_sample(space)``: computed once per record object and
+    feasibility constraint (the domains equal the record's, so the sample
+    depends only on the constraint)."""
+    key = ("sample", None if space.feasibility is None else space.feasibility.source)
+    return record.derived(key, lambda: _centred(ensure_surrogate(record).sample_on(sample)))
+
+
+def select_previous(kb: Sequence[ExperimentRecord], current: Union[sg.Surrogate, Sampled],
+                    threshold: float = 0.5) -> Optional[MatchResult]:
     """Best prior above the correlation threshold, or None.
 
-    `current_sample` may carry the current surrogate's precomputed sample
-    vector (with `space` naming the search space); `prior_samples` may
-    carry precomputed vectors keyed by record id (the orchestrator caches
-    them across batches).  Missing entries are computed here.  Ties break
-    toward the smaller prior id.
+    `current` is the running experiment's surrogate, or its `Sampled`
+    predictions when the caller already holds the comparison sample.
+    Ties break toward the smaller prior id.
     """
-    if space is None:
-        space = current.space
-    sample = comparison_sample(space)
-    if current_sample is None:
-        current_sample = current.sample_on(sample)
-    try:
-        _check_variance(current_sample)
-    except DegenerateSurrogateError:
+    if not isinstance(current, Sampled):
+        sample = comparison_sample(current.space)
+        current = Sampled(current.space, sample, current.sample_on(sample))
+    if np.ptp(current.values) == 0:
         return None
+    fc, sigma_f = _centred(current.values)
     best: Optional[MatchResult] = None
     for record in kb:
-        if not same_structure(record.space, space):
+        if not same_structure(record.space, current.space):
             raise MatchError(f"knowledge-base record {record.id!r} has a different search-space structure")
-        if prior_samples is not None and record.id in prior_samples:
-            p_sample = prior_samples[record.id]
-        else:
-            p_sample = ensure_surrogate(record).sample_on(sample)
-            if prior_samples is not None:
-                prior_samples[record.id] = p_sample
         try:
-            value = n_corr(current_sample, p_sample)
+            value = _correlate(fc, sigma_f, *_prior_vector(record, current.space, current.sample))
         except DegenerateSurrogateError:
             continue
-        result = MatchResult(prior_id=record.id, n_corr=value, sample_size=len(sample))
+        result = MatchResult(prior_id=record.id, n_corr=value, sample_size=len(current.sample))
         if best is None or value > best.n_corr or (value == best.n_corr and record.id < best.prior_id):
             best = result
     if best is not None and best.n_corr > threshold:
         return best
     return None
-
-
-def _check_variance(sample: np.ndarray) -> None:
-    if np.ptp(sample) == 0:
-        raise DegenerateSurrogateError("degenerate surrogate")
 
 
 def pairwise_best_correlations(experiments: Sequence[ExperimentRecord]) -> tuple[list[float], float]:
@@ -141,12 +148,12 @@ def pairwise_best_correlations(experiments: Sequence[ExperimentRecord]) -> tuple
         if not same_structure(record.space, space):
             raise MatchError(f"record {record.id!r} has a different search-space structure")
     sample = comparison_sample(space)
-    vectors = [ensure_surrogate(r).sample_on(sample) for r in experiments]
+    vectors = [_prior_vector(r, space, sample) for r in experiments]
     m = len(experiments)
     best = [-np.inf] * m
     for i in range(m):
         for j in range(i + 1, m):
-            value = n_corr(vectors[i], vectors[j])
+            value = _correlate(*vectors[i], *vectors[j])
             best[i] = max(best[i], value)
             best[j] = max(best[j], value)
     return best, float(np.mean(best))

@@ -65,18 +65,25 @@ class AppCommand:
                     f"command template must reference {{{domain.name}}} exactly once, found {count}")
 
     def run(self, space: SearchSpace, point: Point) -> float:
+        """Objective at `point`; every way the job can fail raises RunError."""
         values = {d.name: v for d, v in zip(space.domains, space.resolve(point))}
-        argv = shlex.split(self.command.format(**values))
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout)
-        if proc.returncode != 0:
-            raise RunError(f"command exited with {proc.returncode}")
-        if self.objective_from == "stdout":
-            lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
-            if not lines:
-                raise RunError("no stdout to parse objective from")
-            return float(lines[-1].strip())
-        text = Path(self.output_file.format(**values)).read_text(encoding="utf-8")
-        return float(text.strip())
+        # each value is quoted, so it reaches the command as one argument
+        argv = shlex.split(self.command.format(
+            **{name: shlex.quote(str(v)) for name, v in values.items()}))
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout)
+            if proc.returncode != 0:
+                raise RunError(f"command exited with {proc.returncode}")
+            if self.objective_from == "stdout":
+                lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+                if not lines:
+                    raise RunError("no stdout to parse objective from")
+                text = lines[-1]
+            else:
+                text = Path(self.output_file.format(**values)).read_text(encoding="utf-8")
+            return float(text.strip())
+        except (subprocess.TimeoutExpired, OSError, ValueError) as exc:
+            raise RunError(f"job failed: {exc}") from exc
 
 
 Application = Union[AppCommand, Callable[[Point], float]]
@@ -84,8 +91,13 @@ Application = Union[AppCommand, Callable[[Point], float]]
 
 def execute_batch(points: Sequence[Point], app: Application, cache: dict,
                   space: SearchSpace, max_workers: int = 1) -> list[tuple[Point, Optional[float]]]:
-    """Evaluate uncached points (failures recorded as None); results are
-    returned for every input point, in input order."""
+    """Evaluate uncached points; results are returned for every input
+    point, in input order.
+
+    A job fails, and is recorded as None, when the application raises
+    RunError or returns a non-finite value; any other exception from a
+    Python objective is a programming error and propagates.
+    """
     todo = []
     seen = set()
     for point in points:
@@ -96,13 +108,10 @@ def execute_batch(points: Sequence[Point], app: Application, cache: dict,
 
     def _one(point: Point) -> Optional[float]:
         try:
-            if isinstance(app, AppCommand):
-                value = app.run(space, point)
-            else:
-                value = float(app(point))
-            return value if math.isfinite(value) else None
-        except (RunError, subprocess.TimeoutExpired, ValueError, OSError):
+            value = app.run(space, point) if isinstance(app, AppCommand) else float(app(point))
+        except RunError:
             return None
+        return value if math.isfinite(value) else None
 
     if todo:
         if max_workers > 1 and isinstance(app, AppCommand):
@@ -133,10 +142,6 @@ class RunConfig:
     min_evidence: int = 1
     max_workers: int = 1
     stall_limit: int = DEFAULT_STALL_LIMIT
-    # precomputed prior sample vectors keyed by record id (cache shared
-    # across runs of a study); filled lazily when absent
-    prior_samples: Optional[dict] = None
-    prior_suggestions: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -243,12 +248,15 @@ class _SampleSurrogate:
         dist = cdist(self.sample_enc, new_enc, metric="cityblock")
         ranks = _lex_ranks(pts, self.space.cardinalities)
         new_keys = np.rint(dist).astype(np.int64) * self.nspace + ranks[None, :]
-        new_outs = np.broadcast_to(np.asarray(outputs, dtype=np.float64), dist.shape)
-        keys = np.concatenate([self.keys, new_keys], axis=1)
-        outs = np.concatenate([self.outs, new_outs], axis=1)
+        # keys are unique per point, so a row changes only where a new
+        # point beats its current k-th neighbor
+        rows = np.flatnonzero(new_keys.min(axis=1) < self.keys[:, -1])
+        new_outs = np.broadcast_to(np.asarray(outputs, dtype=np.float64), (len(rows), len(pts)))
+        keys = np.concatenate([self.keys[rows], new_keys[rows]], axis=1)
+        outs = np.concatenate([self.outs[rows], new_outs], axis=1)
         order = np.argsort(keys, axis=1)[:, :self.k]
-        self.keys = np.take_along_axis(keys, order, axis=1)
-        self.outs = np.take_along_axis(outs, order, axis=1)
+        self.keys[rows] = np.take_along_axis(keys, order, axis=1)
+        self.outs[rows] = np.take_along_axis(outs, order, axis=1)
 
     def values(self) -> np.ndarray:
         effective = min(self.k, self.count)
@@ -269,6 +277,17 @@ def _feasible_size(space: SearchSpace) -> int:
     return sum(1 for _ in enumerate_points(space))
 
 
+def _auto_aggressiveness(prior: ExperimentRecord, cfg: PruneConfig) -> float:
+    """The prior's variogram suggestion, or the capped fallback when the
+    variogram is unusable; computed once per record object and cap."""
+    def compute() -> float:
+        try:
+            return suggest_aggressiveness(prior, cfg).value
+        except VariogramError:
+            return min(FALLBACK_AGGRESSIVENESS, cfg.cap)
+    return prior.derived(("aggressiveness", cfg.cap), compute)
+
+
 def run(cfg: RunConfig) -> RunReport:
     """Run one experiment to budget exhaustion (or full-space coverage)."""
     started = time.perf_counter()
@@ -284,15 +303,16 @@ def run(cfg: RunConfig) -> RunReport:
     optimizer = create_optimizer(cfg.optimizer, space, cfg.seed, cfg.batch_size)
     sample = matcher.comparison_sample(space)
     sampler = _SampleSurrogate(space, sample, cfg.knn_k)
-    prior_samples = cfg.prior_samples if cfg.prior_samples is not None else {}
 
     cache: dict[Point, Optional[float]] = {}
     current_space = space
+    remaining = _feasible_size(current_space)
+    # cached points inside current_space: every fresh point was proposed
+    # there, so only a prune calls for a recount
+    evaluated_in_current = 0
     evals_used = 0
     failures = 0
     history: list[BatchRow] = []
-    suggestion_cache: dict[str, float] = (
-        dict(cfg.prior_suggestions) if cfg.prior_suggestions is not None else {})
     last_prune_key: Optional[tuple[str, float]] = None
     stalls = 0
     batch_index = 0
@@ -313,6 +333,7 @@ def run(cfg: RunConfig) -> RunReport:
         results = execute_batch(evaluable, cfg.app, cache, space, cfg.max_workers)
         newly = [p for p in fresh]
         evals_used += len(newly)
+        evaluated_in_current += len(newly)
         new_ok = [(p, cache[p]) for p in newly if cache[p] is not None]
         failures += sum(1 for p in newly if cache[p] is None)
         stalls = stalls + 1 if not newly else 0
@@ -325,23 +346,12 @@ def run(cfg: RunConfig) -> RunReport:
         match = None
         p_aggr_used: Optional[float] = None
         if cfg.kb and sampler.count > 0:
-            try:
-                current_sample = sampler.values()
-                match = matcher.select_previous(cfg.kb, None, cfg.prune_cfg.corr_threshold,
-                                                prior_samples=prior_samples,
-                                                current_sample=current_sample,
-                                                space=space)
-            except matcher.DegenerateSurrogateError:
-                match = None
+            current = matcher.Sampled(space, sample, sampler.values())
+            match = matcher.select_previous(cfg.kb, current, cfg.prune_cfg.corr_threshold)
         if match is not None:
             prior = next(r for r in cfg.kb if r.id == match.prior_id)
             if cfg.prune_cfg.aggressiveness == AUTO:
-                if prior.id not in suggestion_cache:
-                    try:
-                        suggestion_cache[prior.id] = suggest_aggressiveness(prior, cfg.prune_cfg).value
-                    except VariogramError:
-                        suggestion_cache[prior.id] = min(FALLBACK_AGGRESSIVENESS, cfg.prune_cfg.cap)
-                p_aggr_used = suggestion_cache[prior.id]
+                p_aggr_used = _auto_aggressiveness(prior, cfg.prune_cfg)
             else:
                 p_aggr_used = float(cfg.prune_cfg.aggressiveness)
             # pruning is idempotent, so the same prior and aggressiveness
@@ -352,6 +362,8 @@ def run(cfg: RunConfig) -> RunReport:
                 if outcome.new_space.domains != current_space.domains:
                     optimizer.apply_space_update(outcome.new_space)
                     current_space = outcome.new_space
+                    remaining = _feasible_size(current_space)
+                    evaluated_in_current = sum(1 for p in cache if optimizer.point_in_current(p))
 
         batch_index += 1
         history.append(BatchRow(
@@ -366,11 +378,8 @@ def run(cfg: RunConfig) -> RunReport:
 
         if evals_used >= budget:
             break
-        remaining = _feasible_size(current_space)
-        if len(cache) >= remaining:  # cheap bound before the exact count
-            evaluated_in_current = sum(1 for p in cache if optimizer.point_in_current(p))
-            if evaluated_in_current >= remaining:
-                break
+        if evaluated_in_current >= remaining:
+            break
         if stalls >= cfg.stall_limit:
             break
 

@@ -299,6 +299,9 @@ class ExperimentRecord:
     jobs: tuple[Job, ...]
     surrogate: Optional[object] = None
     metadata: dict = field(default_factory=dict, compare=False)
+    # values derived from the (frozen) record, filled lazily by the modules
+    # that compute them and reused by every later run holding this object
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "jobs", tuple(self.jobs))
@@ -312,6 +315,13 @@ class ExperimentRecord:
             if job.point in seen:
                 raise SpaceError(f"experiment {self.id!r}: duplicate job at {job.point}")
             seen.add(job.point)
+
+    def derived(self, key, compute):
+        """The value derived from this record under `key`: `compute()` on
+        first use, the stored result afterwards."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ DEFAULT_K = 3
 METRIC_ID = "normalized-mixed"
 
 _INT_SCALE_LIMIT = 2 ** 40
+# distances per query block in `knn_indices` (2 MB as float64); larger
+# blocks were no faster on the seismic-like priors
+_KNN_BLOCK_CELLS = 1 << 18
 
 
 class SurrogateError(ValueError):
@@ -110,26 +113,37 @@ def _lex_ranks(points: np.ndarray, cards: Sequence[int]) -> np.ndarray:
 def knn_indices(enc: SpaceEncoding, train_points: np.ndarray,
                 query_points: np.ndarray, k: int) -> np.ndarray:
     """(q, k) matrix of training-row indices of the k nearest neighbors of
-    each query, nearest first, lexicographic tie-break."""
+    each query, nearest first, lexicographic tie-break.
+
+    Queries are processed in blocks of at most ``_KNN_BLOCK_CELLS``
+    distances, so memory grows with the training set, not with
+    queries x training set.
+    """
+    train_points = np.asarray(train_points, dtype=np.int64)
+    query_points = np.asarray(query_points, dtype=np.int64)
     t = len(train_points)
     k = min(k, t)
     cards = enc.space.cardinalities
     train_enc = enc.encode(train_points)
-    query_enc = enc.encode(query_points)
-    dist = cdist(query_enc, train_enc, metric="cityblock")
-    ranks = _lex_ranks(np.asarray(train_points, dtype=np.int64), cards)
+    ranks = _lex_ranks(train_points, cards)
     nspace = int(np.prod(cards, dtype=np.int64))
-    if enc.exact and enc.scale * len(cards) * nspace < 2 ** 62:
+    exact = enc.exact and enc.scale * len(cards) * nspace < 2 ** 62
+    # float fallback: stable sort with training pre-ordered lexicographically
+    lex_order = None if exact else np.argsort(ranks, kind="stable")
+    out = np.empty((len(query_points), k), dtype=np.int64)
+    rows = max(1, _KNN_BLOCK_CELLS // t)
+    for start in range(0, len(query_points), rows):
+        dist = cdist(enc.encode(query_points[start:start + rows]), train_enc, metric="cityblock")
+        if not exact:
+            order = np.argsort(dist[:, lex_order], axis=1, kind="stable")[:, :k]
+            out[start:start + rows] = lex_order[order]
+            continue
         keys = np.rint(dist).astype(np.int64) * nspace + ranks[None, :]
         part = np.argpartition(keys, k - 1, axis=1)[:, :k] if k < t else \
-            np.tile(np.arange(t), (len(query_points), 1))
+            np.tile(np.arange(t), (len(keys), 1))
         sel = np.take_along_axis(keys, part, axis=1)
-        order = np.argsort(sel, axis=1)
-        return np.take_along_axis(part, order, axis=1)
-    # float fallback: stable sort with training pre-ordered lexicographically
-    lex_order = np.argsort(ranks, kind="stable")
-    order = np.argsort(dist[:, lex_order], axis=1, kind="stable")[:, :k]
-    return lex_order[order]
+        out[start:start + rows] = np.take_along_axis(part, np.argsort(sel, axis=1), axis=1)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -128,3 +128,14 @@ def ref_variogram(prior: ExperimentRecord, bin_width: float):
     semis = [sums[b] / (2.0 * counts[b]) for b in bins]
     ncounts = [counts[b] for b in bins]
     return lags, semis, ncounts
+
+
+def ref_knn(space: SearchSpace, train_points, query, k: int) -> list[int]:
+    """Training-row indices of the k nearest neighbors of `query`, nearest
+    first, ties toward the lexicographically smaller point; one scalar
+    distance per training point."""
+    from jobpruner.surrogate import distance
+    rows = sorted(range(len(train_points)),
+                  key=lambda t: (distance(space, train_points[t], query), tuple(train_points[t])))
+    return rows[:k]
+

@@ -1,0 +1,43 @@
+"""Report CSVs pinned by hash.
+
+`golden_reports.json` holds the sha256 of each run's report CSV for
+fixed seeds, so a change that moves any byte of a report fails here.
+The runs share one set of record objects, so later cases reuse what
+earlier ones derived from the records, across p settings and
+feasibility constraints.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from jobpruner import bench
+from jobpruner.orchestrator import RunConfig, report_to_csv, run
+from jobpruner.pruner import AUTO, PruneConfig
+from jobpruner.space import space_from_dict, space_to_dict
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+
+
+def _cases(family):
+    doc = space_to_dict(family.space)
+    doc["feasibility"] = "p0 + p1 < 7"
+    constrained = space_from_dict(doc)
+    for subject, p in ((0, 0.0), (1, 0.6), (2, AUTO)):
+        for seed in (11, 12):
+            yield f"seismic-s{subject}-p{p}-seed{seed}", family.space, subject, p, seed
+    for subject in (3, 4):
+        for seed in (21, 22):
+            yield f"constrained-s{subject}-p0.6-seed{seed}", constrained, subject, 0.6, seed
+
+
+def test_report_csvs_match_the_golden_hashes():
+    family = bench.preset_family("seismic-like", seed=7)
+    got = {}
+    for name, space, subject, p, seed in _cases(family):
+        kb = [family.subject_record(i) for i in range(family.subjects) if i != subject]
+        report = run(RunConfig(space=space, app=lambda point, s=subject: family.evaluate(s, point),
+                               seed=seed, batch_size=10, budget=100,
+                               prune_cfg=PruneConfig(aggressiveness=p), kb=kb))
+        got[name] = hashlib.sha256(report_to_csv(report).encode()).hexdigest()
+    assert got == GOLDEN

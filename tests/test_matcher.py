@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobpruner.matcher import (DegenerateSurrogateError, MatchError,
+from jobpruner.matcher import (DegenerateSurrogateError, MatchError, Sampled,
                                comparison_sample, ensure_surrogate, n_corr,
                                pairwise_best_correlations, select_previous)
-from jobpruner.space import enumerate_points
-from jobpruner.surrogate import fit
+from jobpruner.orchestrator import RunConfig, report_to_csv, run
+from jobpruner.pruner import PruneConfig
+from jobpruner.space import enumerate_points, space_from_dict, space_to_dict
+from jobpruner.surrogate import Surrogate, fit
 
-from _util import grid_space, record_of, ref_n_corr
+from _util import grid_space, random_record, random_space, record_of, ref_n_corr
 
 
 def _full_record(space, values, rec_id):
@@ -170,3 +172,92 @@ class TestPairwiseBestCorrelations:
         space = grid_space(4)
         with pytest.raises(MatchError):
             pairwise_best_correlations([_full_record(space, [0.1, 0.2, 0.3, 0.4], "a")])
+
+
+class TestRecordMemo:
+    """Prior-derived values are computed once per record object and reused."""
+
+    @staticmethod
+    def _kb_and_app(space):
+        rng = np.random.default_rng(4)
+        points = list(enumerate_points(space))
+        truth = {p: -float((p[0] - 3) ** 2 + (p[1] - 2) ** 2) for p in points}
+        kb = [_full_record(space, [truth[p] + rng.normal(scale=0.5) for p in points], f"prior{i}")
+              for i in range(2)]
+        return kb, (lambda point: truth[tuple(point)])
+
+    def test_record_in_two_runs_is_sampled_once(self, monkeypatch):
+        space = grid_space(6, 6)
+        kb, app = self._kb_and_app(space)
+        calls = []
+        original = Surrogate.sample_on
+
+        def counting(self, sample):
+            calls.append(self)
+            return original(self, sample)
+
+        monkeypatch.setattr(Surrogate, "sample_on", counting)
+        for seed in (1, 2):
+            report = run(RunConfig(space=space, app=app, budget=20, seed=seed, batch_size=5, kb=kb,
+                                   prune_cfg=PruneConfig(aggressiveness=0.5)))
+            assert any(row.matched_prior for row in report.history)
+        for record in kb:
+            assert sum(c is ensure_surrogate(record) for c in calls) == 1
+
+    def test_one_vector_per_feasibility_constraint(self):
+        space = grid_space(6, 6)
+        doc = space_to_dict(space)
+        doc["feasibility"] = "p0 + p1 < 6"
+        constrained = space_from_dict(doc)
+        kb, app = self._kb_and_app(space)
+
+        def constrained_run(records):
+            return report_to_csv(run(RunConfig(space=constrained, app=app, budget=12, seed=3,
+                                               batch_size=4, kb=records)))
+
+        fresh = constrained_run(self._kb_and_app(space)[0])
+        run(RunConfig(space=space, app=app, budget=12, seed=3, batch_size=4, kb=kb))
+        assert constrained_run(kb) == fresh
+        lengths = {key[1]: len(value[0]) for key, value in kb[0]._memo.items()
+                   if key[0] == "sample"}
+        assert lengths == {None: 36, "p0 + p1 < 6": 21}
+
+    def test_records_sharing_an_id_do_not_share_vectors(self):
+        space = grid_space(8)
+        rng = np.random.default_rng(9)
+        current = ensure_surrogate(_full_record(space, rng.uniform(size=8), "cur"))
+        a = _full_record(space, rng.uniform(size=8), "same")
+        b = _full_record(space, rng.uniform(size=8), "same")
+        sample = comparison_sample(space)
+        got = [select_previous([r], current, threshold=-2.0).n_corr for r in (a, b, a)]
+        expected = [n_corr(current.sample_on(sample), fit(r.jobs, space).sample_on(sample))
+                    for r in (a, b, a)]
+        assert got == expected
+        assert got[0] != got[1]
+
+    def test_scores_equal_n_corr_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            space = random_space(rng, max_points=200)
+            current = ensure_surrogate(random_record(rng, space, "cur"))
+            sample = comparison_sample(space)
+            values = current.sample_on(sample)
+            kb = [random_record(rng, space, f"p{i}") for i in range(4)]
+            expected = {}
+            # a flat current surrogate matches nothing, before any score
+            for record in kb if np.ptp(values) > 0 else ():
+                try:
+                    expected[record.id] = n_corr(values, fit(record.jobs, space).sample_on(sample))
+                except MatchError:
+                    pass
+            for record in kb:
+                for query in (current, Sampled(space, sample, values)):
+                    result = select_previous([record], query, threshold=-2.0)
+                    assert (result and result.n_corr) == expected.get(record.id)
+            best = select_previous(kb, current, threshold=-2.0)
+            if expected:
+                top = max(expected.values())
+                assert best.n_corr == top
+                assert best.prior_id == min(k for k, v in expected.items() if v == top)
+            else:
+                assert best is None

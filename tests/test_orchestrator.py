@@ -1,15 +1,20 @@
+import json
+import shlex
 import sys
 
 import numpy as np
 import pytest
 
+from jobpruner.matcher import comparison_sample
 from jobpruner.orchestrator import (AppCommand, RunConfig, RunError,
-                                    execute_batch, report_to_csv,
-                                    resolve_budget, run)
+                                    _SampleSurrogate, execute_batch,
+                                    report_to_csv, resolve_budget, run)
 from jobpruner.pruner import AUTO, PruneConfig
-from jobpruner.space import enumerate_points, space_size
+from jobpruner.space import (CATEGORICAL, Job, ParamDomain, SearchSpace,
+                             enumerate_points, space_size)
+from jobpruner.surrogate import fit
 
-from _util import grid_space, record_of
+from _util import grid_space, random_space, record_of
 
 
 def _landscape(space, seed=0):
@@ -73,11 +78,25 @@ class TestExecuteBatch:
 
         def app(point):
             if point[0] == 1:
-                raise ValueError("boom")
+                raise RunError("boom")
             return 2.0
 
         results = execute_batch([(0,), (1,)], app, {}, space)
         assert results == [((0,), 2.0), ((1,), None)]
+
+    def test_value_error_from_callable_reaches_the_caller(self):
+        space = grid_space(8)
+
+        def app(point):
+            return float("not a number")
+
+        with pytest.raises(ValueError, match="not a number"):
+            run(RunConfig(space=space, app=app, budget=2, seed=0, batch_size=4))
+
+    def test_unparsable_command_output_is_a_failure(self):
+        space = grid_space(2, names=["x"])
+        app = AppCommand(command=f"{shlex.quote(sys.executable)} -c 'print(\"n/a {{x}}\")'")
+        assert execute_batch([(0,)], app, {}, space) == [((0,), None)]
 
     def test_command_exit_nonzero_is_a_failure(self):
         space = grid_space(2, names=["x"])
@@ -107,6 +126,30 @@ class TestAppCommand:
             command=f"{sys.executable} -c 'open(\"{out}\", \"w\").write(str({{x}}))'",
             objective_from="file", output_file=str(out))
         assert app.run(space, (2,)) == 2.0
+
+    def _argv_probe(self, tmp_path):
+        """A command that saves its arguments as JSON and prints their count."""
+        script = tmp_path / "argv.py"
+        script.write_text("import json, sys\n"
+                          f"open({str(tmp_path / 'argv.json')!r}, 'w').write(json.dumps(sys.argv[1:]))\n"
+                          "print(len(sys.argv) - 1)\n")
+        prefix = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+        return prefix.replace("{", "{{").replace("}", "}}"), tmp_path / "argv.json"
+
+    @pytest.mark.parametrize("value", ["a b", "it's", 'say "hi"'])
+    def test_each_value_is_one_argument(self, tmp_path, value):
+        space = SearchSpace((ParamDomain("x", ("c", value), kind=CATEGORICAL),))
+        prefix, saved = self._argv_probe(tmp_path)
+        app = AppCommand(command=f"{prefix} --x {{x}}")
+        assert app.run(space, (1,)) == 2.0
+        assert json.loads(saved.read_text()) == ["--x", value]
+
+    def test_numeric_values_format_as_before(self, tmp_path):
+        space = SearchSpace((ParamDomain("a", (0, 3, 7)), ParamDomain("b", (0.1, 2.5))))
+        prefix, saved = self._argv_probe(tmp_path)
+        app = AppCommand(command=f"{prefix} -v k={{a}}:{{b}}")
+        assert app.run(space, (1, 0)) == 2.0
+        assert json.loads(saved.read_text()) == ["-v", "k=3:0.1"]
 
     def test_file_mode_requires_output_file(self):
         with pytest.raises(ValueError):
@@ -162,7 +205,7 @@ class TestRun:
         def app(point):
             calls.append(point)
             if len(calls) <= 2:
-                raise ValueError("crash")
+                raise RunError("crash")
             return float(point[0])
 
         report = run(RunConfig(space=space, app=app, budget=8, seed=0, batch_size=4))
@@ -214,3 +257,24 @@ class TestReportCsv:
         assert len(lines) == len(report.history) + 1
         for line in lines[1:]:
             assert len(line.split(",")) == 7
+
+
+class TestSampleSurrogate:
+    def test_incremental_values_equal_a_full_refit(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            space = random_space(rng, max_points=300)
+            points = list(enumerate_points(space))
+            order = rng.permutation(len(points))  # distinct points, as in a run
+            k = int(rng.integers(1, 6))
+            sample = comparison_sample(space)
+            sampler = _SampleSurrogate(space, sample, k)
+            jobs = []
+            for size in rng.integers(1, 8, size=6):
+                batch = [points[i] for i in order[len(jobs):len(jobs) + size]]
+                if not batch:
+                    break
+                outputs = rng.normal(size=len(batch))
+                sampler.add(batch, list(outputs))
+                jobs += [Job(point=p, output=float(v)) for p, v in zip(batch, outputs)]
+                assert np.array_equal(sampler.values(), fit(jobs, space, k=k).sample_on(sample))

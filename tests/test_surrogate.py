@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from jobpruner.space import CATEGORICAL, Job, SpaceError, enumerate_points
 from jobpruner.surrogate import (DEFAULT_K, SpaceEncoding, Surrogate,
                                  SurrogateError, distance, fit, knn_indices)
 
-from _util import grid_space
+from _util import grid_space, ref_knn
 
 
 def _jobs(space, pairs):
@@ -155,3 +156,28 @@ def test_prediction_is_mean_of_brute_force_neighbors(seed, k):
     order = sorted(range(n), key=lambda t: (distance(space, chosen[t], query), chosen[t]))
     expected = float(np.mean([outputs[t] for t in order[:min(k, n)]]))
     assert s.predict(query) == pytest.approx(expected, abs=1e-9)
+
+
+class TestKnnMemory:
+    def test_large_sample_is_blockwise_and_exact(self):
+        """20,000 queries against 4,000 jobs: the distance matrix alone would
+        be 640 MB; blocks of query rows keep the peak far below that."""
+        rng = np.random.default_rng(21)
+        space = grid_space(10, 10, 10, 10, 10)
+        grid = np.array(list(itertools.product(range(10), repeat=5)))
+        train = grid[rng.choice(len(grid), size=4000, replace=False)]
+        outputs = rng.normal(size=4000)
+        s = Surrogate(space=space, points=train, outputs=outputs)
+        queries = grid[rng.integers(0, len(grid), size=20_000)]
+        tracemalloc.start()
+        try:
+            got = s.sample_on(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, peak
+        nn = knn_indices(s._enc, train, queries, DEFAULT_K)
+        for q in rng.choice(len(queries), size=40, replace=False):
+            expected = ref_knn(space, train, queries[q], DEFAULT_K)
+            assert list(nn[q]) == expected
+            assert got[q] == np.mean(outputs[expected])
