@@ -6,7 +6,8 @@ and prunes non-promising parameter values before spending more budget.
 """
 
 from .space import (ExperimentRecord, Job, ParamDomain, Point, SearchSpace,
-                    SpaceError, enumerate_points, space_size, validate_point)
+                    SpaceError, enumerate_points, feasible_size, space_size,
+                    validate_point)
 from .surrogate import Surrogate, fit
 from .matcher import MatchResult, n_corr, pairwise_best_correlations, select_previous
 from .pruner import AUTO, PruneConfig, PruneOutcome, prune, reduction_fraction

@@ -1,9 +1,10 @@
 """Similarity scoring between the running experiment's surrogate and the
 knowledge base, via normalized cross-correlation over a common sample.
 
-The common sample is the full lexicographic enumeration when the space
-has at most ``FULL_SAMPLE_LIMIT`` points, otherwise a deterministic
-uniform draw of that many points shared by every comparison in a run.
+The common sample is the full lexicographic enumeration of the feasible
+points when there are at most ``FULL_SAMPLE_LIMIT`` of them, otherwise a
+deterministic uniform draw of that many points shared by every
+comparison in a run.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import surrogate as sg
-from .space import ExperimentRecord, SearchSpace, enumerate_points, same_structure, space_size
+from .space import ExperimentRecord, SearchSpace, same_structure, space_size
 
 FULL_SAMPLE_LIMIT = 20_000
 _SAMPLE_SEED = 0x5EED
@@ -66,20 +67,24 @@ def _correlate(fc: np.ndarray, sigma_f: float, pc: np.ndarray, sigma_p: float) -
 
 def comparison_sample(space: SearchSpace, limit: int = FULL_SAMPLE_LIMIT,
                       seed: int = _SAMPLE_SEED) -> np.ndarray:
-    """(m, n) matrix of sample points shared by all comparisons."""
-    if space_size(space) <= limit and space.feasibility is None:
-        cards = space.cardinalities
-        grids = np.meshgrid(*(np.arange(c) for c in cards), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-    if space.feasibility is not None:
-        points = np.asarray(list(enumerate_points(space)), dtype=np.int64)
-        if len(points) <= limit:
-            return points
-        rng = np.random.default_rng(seed)
-        return points[rng.choice(len(points), size=limit, replace=False)]
+    """(m, n) matrix of sample points shared by all comparisons.
+
+    Every feasible point in lexicographic order when there are at most
+    `limit`, else a seeded draw of `limit` of them without replacement.
+    The feasible points are read off the broadcast `space.feasible_table`,
+    so the feasibility expression runs once per combination of the values
+    of the parameters it names.  An unconstrained space above the limit is
+    drawn column by column, with replacement, without enumerating it.
+    """
     rng = np.random.default_rng(seed)
-    cards = space.cardinalities
-    return np.stack([rng.integers(0, c, size=limit) for c in cards], axis=1).astype(np.int64)
+    if space.feasibility is None and space_size(space) > limit:
+        return np.stack([rng.integers(0, c, size=limit) for c in space.cardinalities],
+                        axis=1).astype(np.int64)
+    feasible = np.broadcast_to(space.feasible_table, space.cardinalities)
+    points = np.ascontiguousarray(np.argwhere(feasible), dtype=np.int64)
+    if len(points) <= limit:
+        return points
+    return points[rng.choice(len(points), size=limit, replace=False)]
 
 
 @dataclass(frozen=True, eq=False)

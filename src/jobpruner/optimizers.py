@@ -10,6 +10,7 @@ Maximization only; wrap minimization problems as f = -g.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Optional, Sequence
 
@@ -34,15 +35,16 @@ class OptimizerError(ValueError):
     pass
 
 
-def _nearest_allowed(allowed: np.ndarray, position: float) -> int:
-    """Nearest surviving original index to a continuous position."""
-    i = int(np.searchsorted(allowed, position))
+def _nearest_allowed(allowed: list[int], position: float) -> int:
+    """Nearest surviving original index to a continuous position; a tie
+    goes to the lower index.  `allowed` is sorted."""
+    i = bisect.bisect_left(allowed, position)
     if i == 0:
-        return int(allowed[0])
+        return allowed[0]
     if i == len(allowed):
-        return int(allowed[-1])
+        return allowed[-1]
     lo, hi = allowed[i - 1], allowed[i]
-    return int(lo if position - lo <= hi - position else hi)
+    return lo if position - lo <= hi - position else hi
 
 
 class _BaseOptimizer:
@@ -57,7 +59,7 @@ class _BaseOptimizer:
         self.space = space
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
-        self.allowed: list[np.ndarray] = [np.arange(c) for c in space.cardinalities]
+        self._set_allowed([list(range(c)) for c in space.cardinalities])
         self.best_point: Optional[Point] = None
         self.best_value: float = -math.inf
 
@@ -69,11 +71,17 @@ class _BaseOptimizer:
             raise OptimizerError("new space is not a per-dimension subset of the current one")
         masks = subspace_masks(new_space, self.original_space)
         self.space = new_space
-        self.allowed = [np.flatnonzero(m) for m in masks]
+        self._set_allowed([np.flatnonzero(m).tolist() for m in masks])
         self._clamp_to_allowed()
 
+    def _set_allowed(self, allowed: list[list[int]]) -> None:
+        """Surviving original indices per dimension, as sorted lists and,
+        for membership tests, as sets."""
+        self.allowed = allowed
+        self._allowed_sets = [frozenset(a) for a in allowed]
+
     def point_in_current(self, point: Sequence[int]) -> bool:
-        return all(idx in allowed for idx, allowed in zip(point, self.allowed))
+        return all(idx in allowed for idx, allowed in zip(point, self._allowed_sets))
 
     def _random_allowed_point(self) -> Point:
         return tuple(int(self.rng.choice(a)) for a in self.allowed)
@@ -159,7 +167,7 @@ class PsoOptimizer(_BaseOptimizer):
 
     def _rounded(self, i: int) -> Point:
         return tuple(_nearest_allowed(a, x)
-                     for a, x in zip(self.allowed, self.positions[i]))
+                     for a, x in zip(self.allowed, self.positions[i].tolist()))
 
     def propose_batch(self) -> list[Point]:
         proposals = []
@@ -209,7 +217,7 @@ class PsoOptimizer(_BaseOptimizer):
     def _clamp_to_allowed(self) -> None:
         for i in range(self.batch_size):
             self.positions[i] = [float(_nearest_allowed(a, x))
-                                 for a, x in zip(self.allowed, self.positions[i])]
+                                 for a, x in zip(self.allowed, self.positions[i].tolist())]
 
 
 class SaOptimizer(_BaseOptimizer):
@@ -235,9 +243,9 @@ class SaOptimizer(_BaseOptimizer):
             return point
         dim = int(self.rng.choice(movable))
         allowed = self.allowed[dim]
-        pos = int(np.searchsorted(allowed, point[dim]))
+        pos = bisect.bisect_left(allowed, point[dim])
         if self.original_space.domains[dim].kind == CATEGORICAL:
-            choices = np.delete(allowed, pos) if pos < len(allowed) and allowed[pos] == point[dim] else allowed
+            choices = allowed[:pos] + allowed[pos + 1:] if pos < len(allowed) and allowed[pos] == point[dim] else allowed
             new_idx = int(self.rng.choice(choices))
         else:
             step = 1 if self.rng.random() < 0.5 else -1

@@ -26,7 +26,7 @@ from . import matcher, surrogate as sg
 from .optimizers import DEFAULT_BATCH_SIZE, create_optimizer
 from .pruner import AUTO, PruneConfig, prune
 from .space import (ExperimentRecord, Job, Point, SearchSpace,
-                    enumerate_points, space_size, validate_point)
+                    feasible_size, space_size, validate_point)
 from .surrogate import SpaceEncoding, _lex_ranks
 from .variogram import FALLBACK_AGGRESSIVENESS, VariogramError, suggest_aggressiveness
 
@@ -271,12 +271,6 @@ class _SampleSurrogate:
 # The run loop
 # ---------------------------------------------------------------------------
 
-def _feasible_size(space: SearchSpace) -> int:
-    if space.feasibility is None:
-        return space_size(space)
-    return sum(1 for _ in enumerate_points(space))
-
-
 def _auto_aggressiveness(prior: ExperimentRecord, cfg: PruneConfig) -> float:
     """The prior's variogram suggestion, or the capped fallback when the
     variogram is unusable; computed once per record object and cap."""
@@ -306,7 +300,7 @@ def run(cfg: RunConfig) -> RunReport:
 
     cache: dict[Point, Optional[float]] = {}
     current_space = space
-    remaining = _feasible_size(current_space)
+    remaining = feasible_size(current_space)
     # cached points inside current_space: every fresh point was proposed
     # there, so only a prune calls for a recount
     evaluated_in_current = 0
@@ -314,6 +308,7 @@ def run(cfg: RunConfig) -> RunReport:
     failures = 0
     history: list[BatchRow] = []
     last_prune_key: Optional[tuple[str, float]] = None
+    match: Optional[matcher.MatchResult] = None
     stalls = 0
     batch_index = 0
 
@@ -340,14 +335,15 @@ def run(cfg: RunConfig) -> RunReport:
 
         optimizer.observe([(p, v if v is not None else math.nan) for p, v in results])
 
+        # the match depends only on the surrogate, so it is redone only in a
+        # batch that changed it
         if new_ok:
             sampler.add([p for p, _ in new_ok], [v for _, v in new_ok])
+            if cfg.kb:
+                current = matcher.Sampled(space, sample, sampler.values())
+                match = matcher.select_previous(cfg.kb, current, cfg.prune_cfg.corr_threshold)
 
-        match = None
         p_aggr_used: Optional[float] = None
-        if cfg.kb and sampler.count > 0:
-            current = matcher.Sampled(space, sample, sampler.values())
-            match = matcher.select_previous(cfg.kb, current, cfg.prune_cfg.corr_threshold)
         if match is not None:
             prior = next(r for r in cfg.kb if r.id == match.prior_id)
             if cfg.prune_cfg.aggressiveness == AUTO:
@@ -362,7 +358,7 @@ def run(cfg: RunConfig) -> RunReport:
                 if outcome.new_space.domains != current_space.domains:
                     optimizer.apply_space_update(outcome.new_space)
                     current_space = outcome.new_space
-                    remaining = _feasible_size(current_space)
+                    remaining = feasible_size(current_space)
                     evaluated_in_current = sum(1 for p in cache if optimizer.point_in_current(p))
 
         batch_index += 1

@@ -13,8 +13,11 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 Point = tuple[int, ...]
 
@@ -51,7 +54,8 @@ class FeasibilityExpr:
 
     Grammar (documented in the README): numeric literals, parameter names,
     ``+ - * /``, comparisons (``< <= > >= == !=``), ``and`` / ``or``,
-    unary minus, and parentheses.  Nothing else parses.
+    unary minus, and parentheses.  Nothing else parses.  `names` is the
+    set of parameter names the expression reads.
     """
 
     def __init__(self, source: str):
@@ -62,6 +66,7 @@ class FeasibilityExpr:
             raise SpaceError(f"feasibility expression does not parse: {exc}") from exc
         self._validate(tree.body)
         self._tree = tree
+        self.names = frozenset(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
 
     def __repr__(self) -> str:
         return f"FeasibilityExpr({self.source!r})"
@@ -171,6 +176,10 @@ class SearchSpace:
 
     domains: tuple[ParamDomain, ...]
     feasibility: Optional[FeasibilityExpr] = None
+    # the predicate's result per tuple of indices of the parameters it
+    # names, filled lazily by `is_feasible`; a combination that raises is
+    # not stored, so it raises again on every test
+    _feasible: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(self.domains))
@@ -195,10 +204,37 @@ class SearchSpace:
     def value_env(self, point: Point) -> dict:
         return {d.name: d.values[i] for d, i in zip(self.domains, point)}
 
+    @cached_property
+    def _named_axes(self) -> tuple[int, ...]:
+        """Positions of the parameters the feasibility expression names."""
+        names = self.feasibility.names if self.feasibility is not None else frozenset()
+        return tuple(a for a, d in enumerate(self.domains) if d.name in names)
+
     def is_feasible(self, point: Point) -> bool:
+        """The feasibility predicate at `point`; the expression runs at
+        most once per combination of the values of the parameters it names."""
         if self.feasibility is None:
             return True
-        return self.feasibility(self.value_env(point))
+        key = tuple([point[a] for a in self._named_axes])
+        if key not in self._feasible:
+            # the expression reads only these names, so the result is the
+            # one over the whole point; an unknown name raises SpaceError
+            self._feasible[key] = self.feasibility(
+                {self.domains[a].name: self.domains[a].values[i] for a, i in zip(self._named_axes, key)})
+        return self._feasible[key]
+
+    @cached_property
+    def feasible_table(self) -> np.ndarray:
+        """Read-only boolean array of `is_feasible` that broadcasts over the
+        grid: full length along the parameters the expression names,
+        length 1 along the others."""
+        axes = self._named_axes
+        table = np.ones([c if a in axes else 1 for a, c in enumerate(self.cardinalities)], dtype=bool)
+        if self.feasibility is not None:
+            for index in np.ndindex(table.shape):
+                table[index] = self.is_feasible(index)
+        table.flags.writeable = False
+        return table
 
 
 def space_size(space: SearchSpace) -> int:
@@ -206,11 +242,28 @@ def space_size(space: SearchSpace) -> int:
     return math.prod(space.cardinalities)
 
 
+def feasible_size(space: SearchSpace) -> int:
+    """Number of feasible points, exact at any grid size: the feasible
+    combinations of the named parameters times the product of the other
+    cardinalities."""
+    table = space.feasible_table
+    return int(table.sum()) * (space_size(space) // table.size)
+
+
 def enumerate_points(space: SearchSpace) -> Iterator[Point]:
-    """Yield every (feasible) point exactly once, in lexicographic index order."""
-    for point in product(*(range(c) for c in space.cardinalities)):
-        if space.is_feasible(point):
-            yield point
+    """Yield every feasible point exactly once, in lexicographic index
+    order.  Lazy: feasibility is read off `space.feasible_table`, so the
+    expression runs once per combination of the named parameters' values,
+    not once per grid point, and no grid is built.  An infeasible prefix
+    up to the last named parameter is skipped with all its completions."""
+    cards = space.cardinalities
+    table = space.feasible_table
+    split = max(space._named_axes, default=-1) + 1
+    head = np.broadcast_to(table.reshape(table.shape[:split]), cards[:split])
+    for prefix in product(*(range(c) for c in cards[:split])):
+        if head[prefix]:
+            for tail in product(*(range(c) for c in cards[split:])):
+                yield prefix + tail
 
 
 def validate_point(space: SearchSpace, point: Sequence[int]) -> Optional[str]:

@@ -6,6 +6,7 @@ bugs with the vectorized library code.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -139,3 +140,10 @@ def ref_knn(space: SearchSpace, train_points, query, k: int) -> list[int]:
                   key=lambda t: (distance(space, train_points[t], query), tuple(train_points[t])))
     return rows[:k]
 
+
+def ref_feasible_points(space: SearchSpace) -> list[tuple[int, ...]]:
+    """Every feasible point in lexicographic order: the whole grid, each
+    point tested by the expression over all of its values."""
+    grid = itertools.product(*(range(c) for c in space.cardinalities))
+    return [p for p in grid
+            if space.feasibility is None or space.feasibility(space.value_env(p))]

@@ -108,6 +108,18 @@ class TestRounding:
         assert _nearest_allowed(allowed, 2.9) == 1
         assert _nearest_allowed(allowed, 7.0) == 5
 
+    def test_nearest_allowed_equals_a_per_value_scan(self):
+        # reference: the closest allowed index by scanning them all, the
+        # lower one on an exact tie
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            allowed = sorted(rng.choice(12, size=int(rng.integers(1, 8)), replace=False).tolist())
+            positions = np.concatenate([rng.uniform(-1.0, 12.0, size=20),
+                                        np.arange(-1.0, 12.0, 0.5)])
+            for x in positions.tolist():
+                expected = min(allowed, key=lambda a: (abs(x - a), a))
+                assert _nearest_allowed(allowed, x) == expected
+
 
 class TestSaNeighborhood:
     def test_neighbor_steps_one_ordinal_coordinate(self):
@@ -179,6 +191,15 @@ class TestSpaceUpdate:
         opt.apply_space_update(self._shrunk(space, [{0, 1}]))
         assert opt.best_point == (4,)
         assert opt.best_value == 9.9
+
+    def test_point_in_current_follows_each_update(self):
+        space = grid_space(5, 4, 3)
+        opt = create_optimizer("pso", space, seed=0, batch_size=2)
+        for keep in ([{0, 1, 3, 4}, {0, 1, 2, 3}, {2}], [{1, 3}, {0, 2}, {2}]):
+            opt.apply_space_update(self._shrunk(space, keep))
+            for p in enumerate_points(space):
+                assert opt.point_in_current(p) == all(i in k for i, k in zip(p, keep))
+                assert opt.point_in_current(np.asarray(p)) == opt.point_in_current(p)
 
     def test_non_subset_update_rejected(self):
         opt = create_optimizer("pso", grid_space(3), seed=0, batch_size=2)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from jobpruner import matcher
 from jobpruner.matcher import comparison_sample
 from jobpruner.orchestrator import (AppCommand, RunConfig, RunError,
                                     _SampleSurrogate, execute_batch,
@@ -213,6 +214,19 @@ class TestRun:
         assert report.evaluations == len(calls)
         assert report.evaluations <= 8
         assert report.best_value >= 0
+
+    def test_rematches_only_after_a_batch_that_added_a_job(self, monkeypatch):
+        space = grid_space(5, 5, 4)
+        _, app = _landscape(space, seed=3)
+        kb = [_full_record(space, _landscape(space, seed=s)[0], f"r{s}") for s in (4, 5)]
+        calls = []
+        select = matcher.select_previous
+        monkeypatch.setattr(matcher, "select_previous",
+                            lambda *args: calls.append(args) or select(*args))
+        report = run(RunConfig(space=space, app=app, optimizer="sa", seed=1, budget=40, kb=kb))
+        used = [0] + [row.evals_used for row in report.history]
+        gained = sum(1 for before, after in zip(used, used[1:]) if after > before)
+        assert len(calls) == gained < len(report.history)
 
     def test_structural_kb_mismatch_aborts(self):
         space = grid_space(4, 4)

@@ -1,16 +1,20 @@
 import json
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jobpruner.matcher import comparison_sample
 from jobpruner.space import (CATEGORICAL, ExperimentRecord, FeasibilityExpr,
                              Job, ParamDomain, SearchSpace, SpaceError,
-                             enumerate_points, is_subspace, load_space,
-                             space_from_dict, space_size, space_to_dict,
-                             subspace_masks, validate_point)
+                             enumerate_points, feasible_size, is_subspace,
+                             load_space, space_from_dict, space_size,
+                             space_to_dict, subspace_masks, validate_point)
 
-from _util import grid_space
+from _util import grid_space, ref_feasible_points
 
 
 class TestSpaceSize:
@@ -141,6 +145,126 @@ class TestFeasibilityExpr:
         for bad in ("__import__('os')", "a.__class__", "(lambda: 1)()"):
             with pytest.raises(SpaceError):
                 FeasibilityExpr(bad)
+
+
+def _random_constrained_space(rng: np.random.Generator) -> SearchSpace:
+    """Up to 5 parameters, some categorical with numeric values in
+    declaration order, under a random expression that names a random
+    subset of them: chained comparisons, `and`/`or`, unary minus and
+    division by a literal."""
+    domains = []
+    for i in range(int(rng.integers(1, 6))):
+        card = int(rng.integers(1, 6))
+        values = rng.choice(np.arange(-4, 9), size=card, replace=False).tolist()
+        if rng.random() < 0.3:
+            domains.append(ParamDomain(f"p{i}", tuple(values), kind=CATEGORICAL))
+        else:
+            domains.append(ParamDomain(f"p{i}", tuple(sorted(values))))
+    named = [d.name for d in domains if rng.random() < 0.6] or [domains[0].name]
+
+    def term(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return str(rng.choice(named)) if rng.random() < 0.75 else str(int(rng.integers(-3, 6)))
+        op = str(rng.choice(["+", "-", "*", "/"]))
+        right = str(int(rng.integers(1, 4))) if op == "/" else term(depth - 1)
+        text = f"({term(depth - 1)} {op} {right})"
+        return f"-{text}" if rng.random() < 0.2 else text
+
+    def comparison():
+        parts = [term(2)]
+        for _ in range(int(rng.integers(1, 3))):
+            parts += [str(rng.choice(["<", "<=", ">", ">=", "==", "!="])), term(2)]
+        return " ".join(parts)
+
+    source = comparison()
+    for _ in range(int(rng.integers(0, 3))):
+        source = f"({source}) {rng.choice(['and', 'or'])} ({comparison()})"
+    return SearchSpace(tuple(domains), feasibility=FeasibilityExpr(source))
+
+
+class TestFeasibilityTable:
+    """Counting, enumerating and sampling read feasibility off one table
+    over the named parameters; `ref_feasible_points` tests every grid
+    point through the expression instead."""
+
+    def test_bulk_operations_equal_the_reference(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            space = _random_constrained_space(rng)
+            ref = ref_feasible_points(space)
+            assert list(enumerate_points(space)) == ref, space.feasibility
+            assert feasible_size(space) == len(ref)
+            assert [tuple(p) for p in comparison_sample(space)] == ref
+            if len(ref) > 1:
+                drawn = np.random.default_rng(7).choice(len(ref), size=len(ref) - 1, replace=False)
+                sample = comparison_sample(space, limit=len(ref) - 1, seed=7)
+                assert [tuple(p) for p in sample] == [ref[i] for i in drawn]
+            assert [p for p in ref if space.is_feasible(p)] == ref
+
+    def test_unconstrained_space_counts_and_enumerates_the_grid(self):
+        space = grid_space(3, 1, 4, kinds=["ordinal", CATEGORICAL, "ordinal"])
+        assert list(enumerate_points(space)) == ref_feasible_points(space)
+        assert feasible_size(space) == 12
+        assert [tuple(p) for p in comparison_sample(space)] == ref_feasible_points(space)
+
+    def test_expression_runs_once_per_combination_of_named_values(self, monkeypatch):
+        rng = np.random.default_rng(99)
+        for _ in range(50):
+            built = _random_constrained_space(rng)
+            space = SearchSpace(built.domains, feasibility=FeasibilityExpr(built.feasibility.source))
+            calls = []
+            original = FeasibilityExpr.__call__
+
+            def counted(expr, env):
+                calls.append(tuple(sorted(env.items())))
+                return original(expr, env)
+
+            monkeypatch.setattr(FeasibilityExpr, "__call__", counted)
+            for point in ref_feasible_points(SearchSpace(space.domains)):
+                space.is_feasible(point)
+            list(enumerate_points(space))
+            feasible_size(space)
+            comparison_sample(space)
+            validate_point(space, (0,) * space.n)
+            monkeypatch.undo()
+            named = [d for d in space.domains if d.name in space.feasibility.names]
+            assert len(calls) == len(set(calls)) == math.prod(d.cardinality for d in named)
+            assert all({name for name, _ in env} == {d.name for d in named} for env in calls)
+
+    def test_huge_grid_counts_exactly_and_enumerates_lazily(self):
+        domains = tuple(ParamDomain(f"p{i}", tuple(range(10))) for i in range(12))
+        tracemalloc.start()
+        try:
+            space = SearchSpace(domains, feasibility=FeasibilityExpr("p0 + p1 < 3"))
+            assert space_size(space) == 10 ** 12
+            assert feasible_size(space) == 6 * 10 ** 10
+            assert next(enumerate_points(space)) == (0,) * 12
+            far = SearchSpace(domains, feasibility=FeasibilityExpr("p0 + p1 > 16"))
+            assert next(enumerate_points(far)) == (8, 9) + (0,) * 10
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_unknown_name_raises_everywhere(self):
+        space = SearchSpace(grid_space(3, 3).domains, feasibility=FeasibilityExpr("p0 + zz < 3"))
+        for call in (lambda: space.is_feasible((0, 0)), lambda: list(enumerate_points(space)),
+                     lambda: feasible_size(space), lambda: comparison_sample(space)):
+            with pytest.raises(SpaceError, match="zz"):
+                call()
+
+    def test_raising_combination_raises_at_that_point_and_in_bulk(self):
+        space = SearchSpace((ParamDomain("a", (1, 2)), ParamDomain("b", (-1, 0, 1)),
+                             ParamDomain("c", (0, 1))),
+                            feasibility=FeasibilityExpr("a / (b + 1) < 2"))
+        for point in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 0, 0)):
+            with pytest.raises(ZeroDivisionError):
+                space.is_feasible(point)
+        assert space.is_feasible((0, 1, 0)) and not space.is_feasible((1, 1, 1))
+        for call in (lambda: next(enumerate_points(space)), lambda: feasible_size(space),
+                     lambda: comparison_sample(space)):
+            with pytest.raises(ZeroDivisionError):
+                call()
 
 
 class TestSerialization:
