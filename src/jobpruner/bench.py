@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 from scipy.spatial.distance import cdist
 
 from .orchestrator import RunConfig, RunReport, run
@@ -269,6 +268,9 @@ def percent_diff(best_found: float, global_opt: float) -> float:
 
 def confidence_interval(samples: Sequence[float], level: float = 0.95) -> tuple[float, float]:
     """Student-t interval around the sample mean."""
+    # imported here: loading scipy.stats takes longer than importing the
+    # rest of the package, and only a study needs it
+    from scipy import stats
     samples = np.asarray(samples, dtype=np.float64)
     n = len(samples)
     if n < 2:

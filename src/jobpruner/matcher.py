@@ -113,34 +113,64 @@ def _prior_vector(record: ExperimentRecord, space: SearchSpace,
     return record.derived(key, lambda: _centred(ensure_surrogate(record).sample_on(sample)))
 
 
-def select_previous(kb: Sequence[ExperimentRecord], current: Union[sg.Surrogate, Sampled],
+class KbIndex:
+    """A knowledge base's prior vectors over one comparison sample, stacked
+    once so that a match scores every prior in one pass.
+
+    The records must share the structure of `space`; `sample` must be
+    ``comparison_sample(space)``.  A degenerate prior (σ = 0 over the
+    sample) can never match and is left out.
+    """
+
+    def __init__(self, kb: Sequence[ExperimentRecord], space: SearchSpace, sample: np.ndarray):
+        for record in kb:
+            if not same_structure(record.space, space):
+                raise MatchError(f"knowledge-base record {record.id!r} has a different search-space structure")
+        vectors = [(record.id, *_prior_vector(record, space, sample)) for record in kb]
+        kept = [v for v in vectors if v[2] != 0]
+        self.space = space
+        self.sample = sample
+        self.ids = [v[0] for v in kept]
+        self.matrix = np.array([v[1] for v in kept], dtype=np.float64).reshape(len(kept), len(sample))
+        self.sigmas = np.array([v[2] for v in kept], dtype=np.float64)
+
+    def best(self, values: np.ndarray, threshold: float) -> Optional[MatchResult]:
+        """The best prior for the current predictions `values` over the
+        sample when its score exceeds `threshold`, else None."""
+        if not self.ids or np.ptp(values) == 0:
+            return None
+        fc, sigma_f = _centred(values)
+        if sigma_f == 0:
+            return None
+        # a row-wise mean sums in the same order as `_correlate`'s 1-D
+        # mean, so every score equals `n_corr` to the bit; a BLAS
+        # product would not
+        scores = np.clip((self.matrix * fc).mean(axis=1) / (sigma_f * self.sigmas), -1.0, 1.0)
+        top = scores.max()
+        if not top > threshold:
+            return None
+        prior_id = min(self.ids[i] for i in np.flatnonzero(scores == top))
+        return MatchResult(prior_id=prior_id, n_corr=float(top), sample_size=len(self.sample))
+
+
+def select_previous(kb: Union[KbIndex, Sequence[ExperimentRecord]],
+                    current: Union[sg.Surrogate, Sampled],
                     threshold: float = 0.5) -> Optional[MatchResult]:
     """Best prior above the correlation threshold, or None.
 
-    `current` is the running experiment's surrogate, or its `Sampled`
-    predictions when the caller already holds the comparison sample.
-    Ties break toward the smaller prior id.
+    `kb` is a `KbIndex`, or a sequence of records indexed on the spot
+    over the current space's comparison sample.  `current` is the
+    running experiment's surrogate, or its `Sampled` predictions when
+    the caller already holds that sample.  Ties break toward the smaller
+    prior id.
     """
-    if not isinstance(current, Sampled):
-        sample = comparison_sample(current.space)
-        current = Sampled(current.space, sample, current.sample_on(sample))
-    if np.ptp(current.values) == 0:
-        return None
-    fc, sigma_f = _centred(current.values)
-    best: Optional[MatchResult] = None
-    for record in kb:
-        if not same_structure(record.space, current.space):
-            raise MatchError(f"knowledge-base record {record.id!r} has a different search-space structure")
-        try:
-            value = _correlate(fc, sigma_f, *_prior_vector(record, current.space, current.sample))
-        except DegenerateSurrogateError:
-            continue
-        result = MatchResult(prior_id=record.id, n_corr=value, sample_size=len(current.sample))
-        if best is None or value > best.n_corr or (value == best.n_corr and record.id < best.prior_id):
-            best = result
-    if best is not None and best.n_corr > threshold:
-        return best
-    return None
+    if not isinstance(kb, KbIndex):
+        sample = current.sample if isinstance(current, Sampled) else comparison_sample(current.space)
+        kb = KbIndex(kb, current.space, sample)
+    elif not same_structure(kb.space, current.space):
+        raise MatchError("the knowledge-base index was built for a different search-space structure")
+    values = current.values if isinstance(current, Sampled) else current.sample_on(kb.sample)
+    return kb.best(values, threshold)
 
 
 def pairwise_best_correlations(experiments: Sequence[ExperimentRecord]) -> tuple[list[float], float]:

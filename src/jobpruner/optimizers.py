@@ -150,18 +150,22 @@ class PsoOptimizer(_BaseOptimizer):
         self.positions = self.rng.uniform(0.0, cards - 1.0, size=(batch_size, space.n))
         self.velocities = np.zeros_like(self.positions)
         self.vmax = np.maximum((cards - 1.0) / 2.0, 0.5)
-        self.pbest_points = [None] * batch_size
+        self.pbest_positions = np.zeros_like(self.positions)
         self.pbest_values = np.full(batch_size, -math.inf)
         self.last_proposals: list[Point] = []
         self._seen: set[Point] = set()
 
-    def _scatter(self, i: int) -> None:
-        self.positions[i] = [float(self.rng.choice(a)) for a in self.allowed]
+    def _scatter(self, i: int) -> Point:
+        point = self._random_allowed_point()
+        self.positions[i] = point
         self.velocities[i] = 0.0
+        return point
 
     def _jitter(self, i: int) -> None:
-        anchor = self.pbest_points[i] or self.best_point
-        center = np.asarray(anchor, dtype=np.float64)
+        if self.pbest_values[i] > -math.inf:
+            center = self.pbest_positions[i]
+        else:
+            center = np.asarray(self.best_point, dtype=np.float64)
         self.positions[i] = center + self.rng.normal(0.0, 1.0, size=len(center))
         self.velocities[i] = 0.0
 
@@ -174,8 +178,9 @@ class PsoOptimizer(_BaseOptimizer):
         for i in range(len(self.positions)):
             if self.best_point is not None and self.rng.random() < self.restart_prob:
                 # keep a collapsed swarm exploring even before it stagnates
-                self._scatter(i)
-            point = self._rounded(i)
+                point = self._scatter(i)
+            else:
+                point = self._rounded(i)
             if point in self._seen and self.best_point is not None:
                 # collapsed particle replaying an evaluated point: nudge it
                 # around its own best so the batch buys new information
@@ -194,21 +199,17 @@ class PsoOptimizer(_BaseOptimizer):
                 continue
             if value > self.pbest_values[i]:
                 self.pbest_values[i] = value
-                self.pbest_points[i] = proposed
+                self.pbest_positions[i] = proposed
         if self.best_point is None:
             return
         gbest = np.asarray(self.best_point, dtype=np.float64)
         r1 = self.rng.random(self.positions.shape)
         r2 = self.rng.random(self.positions.shape)
-        for i in range(self.batch_size):
-            pbest = self.pbest_points[i]
-            if pbest is None:
-                pbest_arr = self.positions[i]
-            else:
-                pbest_arr = np.asarray(pbest, dtype=np.float64)
-            self.velocities[i] = (self.inertia * self.velocities[i]
-                                  + self.cognitive * r1[i] * (pbest_arr - self.positions[i])
-                                  + self.social * r2[i] * (gbest - self.positions[i]))
+        # a particle with no personal best yet uses its own position instead
+        pbest = np.where((self.pbest_values > -math.inf)[:, None], self.pbest_positions, self.positions)
+        self.velocities = (self.inertia * self.velocities
+                           + self.cognitive * r1 * (pbest - self.positions)
+                           + self.social * r2 * (gbest - self.positions))
         np.clip(self.velocities, -self.vmax, self.vmax, out=self.velocities)
         self.positions += self.velocities
         cards = np.asarray(self.original_space.cardinalities, dtype=np.float64)

@@ -232,7 +232,9 @@ class _SampleSurrogate:
         if self.exact:
             self.sample_enc = self.enc.encode(sample)
             self.keys = np.full((len(sample), k), np.iinfo(np.int64).max, dtype=np.int64)
+            self.kth = self.keys[:, -1].copy()
             self.outs = np.zeros((len(sample), k))
+            self.pred = np.zeros(len(sample))
         else:
             self.jobs: list[Job] = []
 
@@ -244,26 +246,30 @@ class _SampleSurrogate:
             self.jobs.extend(Job(point=p, output=v) for p, v in zip(points, outputs))
             return
         pts = np.asarray(points, dtype=np.int64)
-        new_enc = self.enc.encode(pts)
-        dist = cdist(self.sample_enc, new_enc, metric="cityblock")
+        # one row of keys per new point, so the per-sample-row minimum is
+        # an elementwise minimum over a few contiguous rows
+        dist = cdist(self.enc.encode(pts), self.sample_enc, metric="cityblock")
         ranks = _lex_ranks(pts, self.space.cardinalities)
-        new_keys = np.rint(dist).astype(np.int64) * self.nspace + ranks[None, :]
+        new_keys = np.rint(dist).astype(np.int64) * self.nspace + ranks[:, None]
         # keys are unique per point, so a row changes only where a new
         # point beats its current k-th neighbor
-        rows = np.flatnonzero(new_keys.min(axis=1) < self.keys[:, -1])
+        rows = np.flatnonzero(new_keys.min(axis=0) < self.kth)
         new_outs = np.broadcast_to(np.asarray(outputs, dtype=np.float64), (len(rows), len(pts)))
-        keys = np.concatenate([self.keys[rows], new_keys[rows]], axis=1)
+        keys = np.concatenate([self.keys[rows], new_keys[:, rows].T], axis=1)
         outs = np.concatenate([self.outs[rows], new_outs], axis=1)
         order = np.argsort(keys, axis=1)[:, :self.k]
         self.keys[rows] = np.take_along_axis(keys, order, axis=1)
+        self.kth[rows] = self.keys[rows, -1]
         self.outs[rows] = np.take_along_axis(outs, order, axis=1)
+        self.pred[rows] = self.outs[rows, :min(self.k, self.count)].mean(axis=1)
 
     def values(self) -> np.ndarray:
-        effective = min(self.k, self.count)
-        if effective == 0:
+        """The predictions over the sample; in exact mode the array that
+        `add` updates in place."""
+        if self.count == 0:
             raise RunError("no training data yet")
         if self.exact:
-            return self.outs[:, :effective].mean(axis=1)
+            return self.pred
         return sg.fit(self.jobs, self.space, k=self.k).sample_on(self.sample)
 
 
@@ -309,6 +315,7 @@ def run(cfg: RunConfig) -> RunReport:
     history: list[BatchRow] = []
     last_prune_key: Optional[tuple[str, float]] = None
     match: Optional[matcher.MatchResult] = None
+    index: Optional[matcher.KbIndex] = None
     stalls = 0
     batch_index = 0
 
@@ -340,8 +347,10 @@ def run(cfg: RunConfig) -> RunReport:
         if new_ok:
             sampler.add([p for p, _ in new_ok], [v for _, v in new_ok])
             if cfg.kb:
+                if index is None:
+                    index = matcher.KbIndex(cfg.kb, space, sample)
                 current = matcher.Sampled(space, sample, sampler.values())
-                match = matcher.select_previous(cfg.kb, current, cfg.prune_cfg.corr_threshold)
+                match = matcher.select_previous(index, current, cfg.prune_cfg.corr_threshold)
 
         p_aggr_used: Optional[float] = None
         if match is not None:

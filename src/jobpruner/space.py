@@ -193,7 +193,7 @@ class SearchSpace:
     def n(self) -> int:
         return len(self.domains)
 
-    @property
+    @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(d.cardinality for d in self.domains)
 
@@ -270,12 +270,13 @@ def validate_point(space: SearchSpace, point: Sequence[int]) -> Optional[str]:
     """None when valid, else a description naming the offending parameter."""
     if len(point) != space.n:
         return f"point has {len(point)} coordinates, space has {space.n} parameters"
-    for domain, idx in zip(space.domains, point):
-        if isinstance(idx, bool) or not hasattr(type(idx), "__index__"):
-            return f"parameter {domain.name!r}: index {idx!r} is not an integer"
-        idx = int(idx)
-        if not 0 <= idx < domain.cardinality:
-            return f"parameter {domain.name!r}: index {idx} outside [0, {domain.cardinality - 1}]"
+    for domain, card, idx in zip(space.domains, space.cardinalities, point):
+        if type(idx) is not int:
+            if isinstance(idx, bool) or not hasattr(type(idx), "__index__"):
+                return f"parameter {domain.name!r}: index {idx!r} is not an integer"
+            idx = int(idx)
+        if not 0 <= idx < card:
+            return f"parameter {domain.name!r}: index {idx} outside [0, {card - 1}]"
     if not space.is_feasible(tuple(point)):
         return f"point {tuple(point)} rejected by feasibility predicate"
     return None

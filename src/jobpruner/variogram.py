@@ -12,12 +12,12 @@ nugget) a fixed fallback of 0.6 is proposed instead and flagged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import pdist
-from scipy.stats import kurtosis, skew
 
 from .pruner import PruneConfig
 from .space import ExperimentRecord
@@ -113,11 +113,25 @@ def _extrapolate_nugget(lags: np.ndarray, semivariances: np.ndarray) -> float:
     return max(0.0, float(at_zero))
 
 
+def skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
+    """Sample skewness and excess kurtosis, both biased, with the operations
+    of `scipy.stats.skew` and `scipy.stats.kurtosis` in their order, so the
+    values are the same to the bit; NaN for a sample too flat to tell."""
+    mean = x.mean()
+    d = x - mean
+    m2 = (d ** 2).mean()
+    if m2 <= (np.finfo(np.float64).eps * mean) ** 2:
+        return math.nan, math.nan
+    m3 = (d ** 2 * d).mean()
+    m4 = ((d ** 2) ** 2).mean()
+    return float(m3 / m2 ** 1.5), float(m4 / m2 ** 2.0 - 3)
+
+
 def _normality_ok(outputs: np.ndarray) -> bool:
     if outputs.var() == 0:
         return True
-    return (abs(float(skew(outputs))) <= SKEW_LIMIT
-            and abs(float(kurtosis(outputs))) <= KURTOSIS_LIMIT)
+    skewness, kurt = skew_kurtosis(outputs)
+    return abs(skewness) <= SKEW_LIMIT and abs(kurt) <= KURTOSIS_LIMIT
 
 
 def _stationarity_ok(prior: ExperimentRecord) -> bool:

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import jobpruner
 
 from jobpruner import kbstore
 from jobpruner.cli import build_parser, main
@@ -171,3 +177,15 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as err:
             main(["run", "--spec", str(spec), "--paggr", "wild"])
         assert err.value.code == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # loading scipy.stats takes longer than importing the rest of the
+    # package, and only `jobpruner bench` needs it
+    env = dict(os.environ)
+    src = str(Path(jobpruner.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, jobpruner, jobpruner.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobpruner.matcher import (DegenerateSurrogateError, MatchError, Sampled,
+from jobpruner.matcher import (DegenerateSurrogateError, KbIndex, MatchError, Sampled,
                                comparison_sample, ensure_surrogate, n_corr,
                                pairwise_best_correlations, select_previous)
 from jobpruner.orchestrator import RunConfig, report_to_csv, run
@@ -126,6 +126,67 @@ class TestSelectPrevious:
         kb = [_full_record(space, values, "b"), _full_record(space, values, "a")]
         result = select_previous(kb, current, threshold=0.5)
         assert result.prior_id == "a"
+
+
+class TestKbIndex:
+    """One stacked index scores the priors exactly as a loop of `n_corr`
+    calls over the records does."""
+
+    @staticmethod
+    def _reference(kb, space, sample, values, threshold):
+        """(prior id, n_corr) of the best prior above `threshold`, or None:
+        one `n_corr` per record, in list order, ties to the smaller id."""
+        if np.ptp(values) == 0:
+            return None
+        best = None
+        for record in kb:
+            try:
+                score = n_corr(values, fit(record.jobs, space).sample_on(sample))
+            except MatchError:  # a degenerate prior never matches
+                continue
+            if best is None or score > best[1] or (score == best[1] and record.id < best[0]):
+                best = (record.id, score)
+        return best if best is not None and best[1] > threshold else None
+
+    def test_equals_a_per_record_n_corr_loop(self):
+        rng = np.random.default_rng(23)
+        ties = degenerate = flat = empty = 0
+        for _ in range(80):
+            space = random_space(rng, max_points=200)
+            points = list(enumerate_points(space))
+            sample = comparison_sample(space)
+            kb = [random_record(rng, space, f"p{i}") for i in range(int(rng.integers(0, 5)))]
+            if kb and rng.random() < 0.5:
+                # the same jobs under a smaller id: an exact tie
+                kb.append(record_of(space, [(j.point, j.output) for j in kb[0].jobs], "a" + kb[0].id))
+                ties += 1
+            if rng.random() < 0.4:
+                kb.append(record_of(space, [(p, 0.25) for p in points], "flat"))
+                degenerate += 1
+            rng.shuffle(kb)
+            empty += not kb
+            index = KbIndex(kb, space, sample)
+            for _ in range(3):
+                if rng.random() < 0.2:
+                    values = np.full(len(sample), 0.7)
+                    flat += 1
+                else:
+                    values = ensure_surrogate(random_record(rng, space, "cur")).sample_on(sample)
+                threshold = float(rng.choice([-2.0, 0.0, 0.5]))
+                expected = self._reference(kb, space, sample, values, threshold)
+                current = Sampled(space, sample, values)
+                for got in (index.best(values, threshold),
+                            select_previous(index, current, threshold),
+                            select_previous(kb, current, threshold)):
+                    assert (got and (got.prior_id, got.n_corr)) == expected
+        assert ties and degenerate and flat and empty
+
+    def test_index_for_another_structure_is_rejected(self):
+        space = grid_space(4)
+        index = KbIndex([_full_record(space, [0.1, 0.9, 0.3, 0.5], "p")], space, comparison_sample(space))
+        current = ensure_surrogate(_full_record(grid_space(5), [0.1, 0.9, 0.3, 0.5, 0.2], "cur"))
+        with pytest.raises(MatchError):
+            select_previous(index, current, threshold=0.0)
 
 
 class TestComparisonSample:

@@ -276,15 +276,19 @@ class TestReportCsv:
 class TestSampleSurrogate:
     def test_incremental_values_equal_a_full_refit(self):
         rng = np.random.default_rng(13)
-        for _ in range(30):
-            space = random_space(rng, max_points=300)
+        # a categorical parameter between two ordinal ones, with room for k = 5
+        mixed = SearchSpace((ParamDomain("a", tuple(range(5))),
+                             ParamDomain("c", ("x", "y", "z"), kind=CATEGORICAL),
+                             ParamDomain("b", tuple(range(4)))))
+        for space in [mixed] + [random_space(rng, max_points=300) for _ in range(30)]:
             points = list(enumerate_points(space))
             order = rng.permutation(len(points))  # distinct points, as in a run
-            k = int(rng.integers(1, 6))
+            k = int(rng.integers(1, 6)) if space is not mixed else 5
             sample = comparison_sample(space)
             sampler = _SampleSurrogate(space, sample, k)
             jobs = []
-            for size in rng.integers(1, 8, size=6):
+            # single points first, so several adds happen while count < k
+            for size in [1, 1, *rng.integers(1, 8, size=5)]:
                 batch = [points[i] for i in order[len(jobs):len(jobs) + size]]
                 if not batch:
                     break

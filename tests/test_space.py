@@ -66,7 +66,13 @@ class TestValidatePoint:
         assert validate_point(grid_space(2, 2), (0,)) is not None
 
     def test_non_integer_index(self):
-        assert validate_point(grid_space(2, 2), (0.5, 0)) is not None
+        space = grid_space(2, 2)
+        assert validate_point(space, (0.5, 0)) is not None
+        assert validate_point(space, (True, 0)) == "parameter 'p0': index True is not an integer"
+        # any other integer type is checked as a Python int
+        assert validate_point(space, (np.int64(1), np.uint8(0))) is None
+        assert validate_point(space, (0, np.int64(2))) == validate_point(space, (0, 2)) \
+            == "parameter 'p1': index 2 outside [0, 1]"
 
     def test_accepts_exactly_the_enumerated_points(self):
         space = grid_space(3, 2, 2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from jobpruner.pruner import PruneConfig
 from jobpruner.space import Job, enumerate_points
 from jobpruner.surrogate import distance
 from jobpruner.variogram import (FALLBACK_AGGRESSIVENESS, VariogramError,
-                                 empirical_variogram, suggest_aggressiveness)
+                                 empirical_variogram, skew_kurtosis,
+                                 suggest_aggressiveness)
 
 from _util import grid_space, random_record, random_space, record_of, ref_variogram
 
@@ -140,3 +143,26 @@ def test_semivariances_invariant_under_output_shift(seed, shift):
     a = empirical_variogram(_line_record(outputs))
     b = empirical_variogram(_line_record(outputs + shift))
     assert np.allclose(a.semivariances, b.semivariances, atol=1e-9)
+
+
+def test_skew_kurtosis_equal_scipy_bit_for_bit():
+    from scipy.stats import kurtosis, skew
+    rng = np.random.default_rng(29)
+    samples = [rng.normal(size=int(rng.integers(2, 300))) for _ in range(300)]
+    samples += [rng.exponential(size=int(rng.integers(2, 300))) * 10.0 ** rng.integers(-6, 6)
+                for _ in range(300)]
+    samples += [rng.integers(0, 3, size=int(rng.integers(2, 50))).astype(float) for _ in range(200)]
+    # values one ulp apart: variance above 0 but below the precision floor
+    # under which scipy reports NaN
+    samples += [1e6 + np.spacing(1e6) * rng.integers(0, 2, size=int(rng.integers(2, 50)))
+                for _ in range(200)]
+    nans = 0
+    with warnings.catch_warnings():
+        # scipy warns of catastrophic cancellation on the nearly flat samples
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for x in samples:
+            got = skew_kurtosis(x)
+            expected = (float(skew(x)), float(kurtosis(x)))
+            nans += np.isnan(expected[0])
+            assert np.array_equal(got, expected, equal_nan=True), x
+    assert 0 < nans < len(samples)
